@@ -1,6 +1,7 @@
 package blas
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -39,30 +40,89 @@ func naiveGemm(transA, transB bool, m, n, k int, alpha float64, a []float64, lda
 	}
 }
 
+// kernelSizes covers the scalar edges (0–9) and one full w=32 block with its
+// neighbours, so every tile/leftover split of the 2×4 micro-kernel occurs.
+var kernelSizes = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33}
+
+// paddedMat returns a rows×cols matrix stored with leading dimension
+// cols+pad, whose padding holds NaN so that any read outside the sub-block
+// poisons the result.
+func paddedMat(rng *util.RNG, rows, cols, pad int) ([]float64, int) {
+	ld := cols + pad
+	a := make([]float64, rows*ld)
+	for i := 0; i < rows; i++ {
+		for j := 0; j < ld; j++ {
+			if j < cols {
+				a[i*ld+j] = rng.NormFloat64()
+			} else {
+				a[i*ld+j] = math.NaN()
+			}
+		}
+	}
+	return a, ld
+}
+
+// sameBits reports the first element of the rows×cols region (restricted to
+// the lower triangle when lower is set) where got and want differ in their
+// bit patterns.
+func sameBits(rows, cols int, got, want []float64, ld int, lower bool) (int, int, bool) {
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			if lower && j > i {
+				continue
+			}
+			if math.Float64bits(got[i*ld+j]) != math.Float64bits(want[i*ld+j]) {
+				return i, j, false
+			}
+		}
+	}
+	return 0, 0, true
+}
+
+// TestGemmAllVariants checks every transpose case against naiveGemm over
+// edge and block sizes, on sub-blocks whose leading dimensions exceed their
+// widths. The NT case, which the Cholesky update kernel uses, must match
+// naiveGemm's per-element ascending-order sum bit for bit; the others, which
+// fold alpha into the products, to a rounding tolerance.
 func TestGemmAllVariants(t *testing.T) {
 	rng := util.NewRNG(1)
 	for _, tA := range []bool{false, true} {
 		for _, tB := range []bool{false, true} {
-			m, n, k := 7, 5, 6
-			var a, b []float64
-			if tA {
-				a = randMat(rng, k, m)
-			} else {
-				a = randMat(rng, m, k)
-			}
-			if tB {
-				b = randMat(rng, n, k)
-			} else {
-				b = randMat(rng, k, n)
-			}
-			lda := len(a) / map[bool]int{true: k, false: m}[tA]
-			ldb := len(b) / map[bool]int{true: n, false: k}[tB]
-			c1 := randMat(rng, m, n)
-			c2 := append([]float64(nil), c1...)
-			Gemm(tA, tB, m, n, k, 1.5, a, lda, b, ldb, c1, n)
-			naiveGemm(tA, tB, m, n, k, 1.5, a, lda, b, ldb, c2, n)
-			if d := MaxAbsDiff(m, n, c1, n, c2, n); d > 1e-12 {
-				t.Fatalf("Gemm(tA=%v,tB=%v) diff %v", tA, tB, d)
+			for _, m := range kernelSizes {
+				for _, n := range kernelSizes {
+					for _, k := range kernelSizes {
+						for _, alpha := range []float64{-1, 0.5} {
+							pad := (m + n + k) % 3
+							ar, ac := m, k
+							if tA {
+								ar, ac = k, m
+							}
+							br, bc := k, n
+							if tB {
+								br, bc = n, k
+							}
+							a, lda := paddedMat(rng, ar, ac, pad)
+							b, ldb := paddedMat(rng, br, bc, pad+1)
+							c1, ldc := paddedMat(rng, m, n, 2-pad)
+							c2 := append([]float64(nil), c1...)
+							Gemm(tA, tB, m, n, k, alpha, a, lda, b, ldb, c1, ldc)
+							naiveGemm(tA, tB, m, n, k, alpha, a, lda, b, ldb, c2, ldc)
+							if !tA && tB {
+								if i, j, ok := sameBits(m, n, c1, c2, ldc, false); !ok {
+									t.Fatalf("Gemm NT m=%d n=%d k=%d alpha=%v: C(%d,%d) = %v, want bits of %v",
+										m, n, k, alpha, i, j, c1[i*ldc+j], c2[i*ldc+j])
+								}
+							} else if d := MaxAbsDiff(m, n, c1, ldc, c2, ldc); !(d <= 1e-12) {
+								t.Fatalf("Gemm(tA=%v,tB=%v) m=%d n=%d k=%d alpha=%v: diff %v", tA, tB, m, n, k, alpha, d)
+							}
+							for i := range c1 {
+								if i%ldc >= n && !math.IsNaN(c1[i]) {
+									t.Fatalf("Gemm(tA=%v,tB=%v) m=%d n=%d k=%d wrote C padding at %d", tA, tB, m, n, k, i)
+								}
+							}
+						}
+					}
+				}
 			}
 		}
 	}
@@ -89,18 +149,32 @@ func TestGemmSubBlockLeadingDim(t *testing.T) {
 	}
 }
 
+// TestSyrkMatchesGemm checks that Syrk's lower triangle equals naiveGemm's
+// A·Aᵀ bit for bit and that it leaves the strict upper triangle and the
+// padding of C alone.
 func TestSyrkMatchesGemm(t *testing.T) {
 	rng := util.NewRNG(3)
-	n, k := 6, 4
-	a := randMat(rng, n, k)
-	c1 := make([]float64, n*n)
-	c2 := make([]float64, n*n)
-	Syrk(n, k, -1, a, k, c1, n)
-	naiveGemm(false, true, n, n, k, -1, a, k, a, k, c2, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			if math.Abs(c1[i*n+j]-c2[i*n+j]) > 1e-12 {
-				t.Fatalf("Syrk mismatch at (%d,%d)", i, j)
+	for _, n := range kernelSizes {
+		for _, k := range kernelSizes {
+			for _, alpha := range []float64{-1, 0.5} {
+				pad := (n + k) % 3
+				a, lda := paddedMat(rng, n, k, pad)
+				c1, ldc := paddedMat(rng, n, n, 2-pad)
+				c0 := append([]float64(nil), c1...)
+				c2 := append([]float64(nil), c1...)
+				Syrk(n, k, alpha, a, lda, c1, ldc)
+				naiveGemm(false, true, n, n, k, alpha, a, lda, a, lda, c2, ldc)
+				if i, j, ok := sameBits(n, n, c1, c2, ldc, true); !ok {
+					t.Fatalf("Syrk n=%d k=%d alpha=%v: C(%d,%d) = %v, want bits of %v",
+						n, k, alpha, i, j, c1[i*ldc+j], c2[i*ldc+j])
+				}
+				for i := range c1 {
+					if r, col := i/ldc, i%ldc; col > r || col >= n {
+						if math.Float64bits(c1[i]) != math.Float64bits(c0[i]) {
+							t.Fatalf("Syrk n=%d k=%d touched C(%d,%d) outside the lower triangle", n, k, r, col)
+						}
+					}
+				}
 			}
 		}
 	}
@@ -249,5 +323,44 @@ func TestFrobNorm(t *testing.T) {
 	a := []float64{3, 4, 0, 0}
 	if v := FrobNorm(2, 2, a, 2); math.Abs(v-5) > 1e-15 {
 		t.Fatalf("FrobNorm = %v, want 5", v)
+	}
+}
+
+// sinkC keeps benchmark results live.
+var sinkC []float64
+
+// benchKernel times f on w×w operands and reports GFLOP/s, where one call
+// performs flops floating-point operations.
+func benchKernel(b *testing.B, flops float64, f func()) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f()
+	}
+	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+}
+
+// BenchmarkGemmNT times the update kernel of Cholesky (C -= A·Bᵀ) on the
+// block sizes the paper tables (w=8) and the factor benchmark (w=32) use.
+func BenchmarkGemmNT(b *testing.B) {
+	for _, w := range []int{8, 32} {
+		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
+			rng := util.NewRNG(11)
+			x, y, c := randMat(rng, w, w), randMat(rng, w, w), randMat(rng, w, w)
+			sinkC = c
+			benchKernel(b, 2*float64(w*w*w), func() { Gemm(false, true, w, w, w, -1, x, w, y, w, c, w) })
+		})
+	}
+}
+
+// BenchmarkSyrk times the lower-triangle Cholesky syrk kernel (C -= A·Aᵀ).
+func BenchmarkSyrk(b *testing.B) {
+	for _, w := range []int{8, 32} {
+		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
+			rng := util.NewRNG(12)
+			x, c := randMat(rng, w, w), randMat(rng, w, w)
+			sinkC = c
+			benchKernel(b, float64(w*(w+1)*w), func() { Syrk(w, w, -1, x, w, c, w) })
+		})
 	}
 }

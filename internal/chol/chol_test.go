@@ -1,6 +1,8 @@
 package chol
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -172,4 +174,53 @@ func TestCostsArePositive(t *testing.T) {
 		t.Fatalf("sequential space must be positive")
 	}
 	_ = graph.None
+}
+
+// TestSequentialFactorPinnedBits pins an FNV-1a hash of every factor bit on
+// one seeded matrix (n=323, so both block sizes leave odd edge blocks). The
+// block kernels promise a fixed per-element summation order; any change to
+// it, however small, moves these hashes.
+func TestSequentialFactorPinnedBits(t *testing.T) {
+	if fusesMulAdd() {
+		t.Skip("this build fuses x*y+z into one rounding; the hashes pin separate multiply and add")
+	}
+	a := testMatrix(t, 19, 17, 40, 7)
+	for _, tc := range []struct {
+		w    int
+		want uint64
+	}{
+		{8, 0x4eeebe27863227ea},
+		{32, 0xac0f2555a0d1b02d},
+	} {
+		pr, err := Build(a, Options{Procs: 4, BlockSize: tc.w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bufs, err := pr.SequentialFactor()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		var word [8]byte
+		for o := 0; o < pr.G.NumObjects(); o++ {
+			for _, v := range bufs[graph.ObjID(o)] {
+				binary.LittleEndian.PutUint64(word[:], math.Float64bits(v))
+				h.Write(word[:])
+			}
+		}
+		if got := h.Sum64(); got != tc.want {
+			t.Errorf("w=%d: factor hash %#x, want %#x", tc.w, got, tc.want)
+		}
+	}
+}
+
+// fmaProbe is a package variable so the compiler cannot fold the probe.
+var fmaProbe = [3]float64{1 + 0x1p-52, 1 - 0x1p-52, -1}
+
+// fusesMulAdd reports whether this build contracts x*y+z into a fused
+// multiply-add, as the Go spec allows and arm64 builds do: x*y here is
+// 1-2⁻¹⁰⁴, which rounds to 1 unless it is fused with the add.
+func fusesMulAdd() bool {
+	x, y, z := fmaProbe[0], fmaProbe[1], fmaProbe[2]
+	return x*y+z != float64(x*y)+z
 }

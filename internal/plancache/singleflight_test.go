@@ -9,24 +9,26 @@ import (
 	"testing"
 )
 
-// TestGroupCoalesces: N concurrent Do calls with one key run fn once;
+// TestGroupCoalesces: N concurrent calls with one key run fn once;
 // exactly one caller reports shared=false and all see the same result.
+// The calls go through DoNotify (Do plus an attach hook) so the test can
+// tell when every caller has joined the flight.
 func TestGroupCoalesces(t *testing.T) {
 	var g Group
 	var calls atomic.Int64
 	gate := make(chan struct{})
 	const n = 16
-	var leaders atomic.Int64
+	var leaders, attached atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, shared, err := g.Do("k", func() (any, error) {
+			v, shared, err := g.DoNotify("k", func() (any, error) {
 				calls.Add(1)
 				<-gate // hold the flight open until all callers joined
 				return 42, nil
-			})
+			}, func() { attached.Add(1) })
 			if err != nil {
 				t.Errorf("Do: %v", err)
 			}
@@ -38,9 +40,9 @@ func TestGroupCoalesces(t *testing.T) {
 			}
 		}()
 	}
-	// Wait until the flight is registered, then give sharers a moment to
-	// attach before releasing it.
-	for !g.Inflight("k") {
+	// Release the flight only once every other caller has attached to it;
+	// a caller arriving after it landed would rightly run fn again.
+	for attached.Load() < n-1 {
 		runtime.Gosched()
 	}
 	close(gate)

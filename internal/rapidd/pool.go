@@ -1,6 +1,7 @@
 package rapidd
 
 import (
+	"container/heap"
 	"context"
 	"encoding/json"
 	"errors"
@@ -121,8 +122,7 @@ func (s *Server) runJob(tk *task) *outcome {
 		s.update(tk.id, func(j *Job) { j.Attempts = attempt + 1 })
 		err = s.attempt(tk.ctx, tk.id, tk.spec, attempt)
 		if err == nil {
-			s.setTerminal(tk.id, StatusDone, nil)
-			return s.snapshot(tk.id)
+			return &outcome{job: s.setTerminal(tk.id, StatusDone, nil)}
 		}
 		if tk.ctx.Err() != nil || !faultsFor(tk.spec, attempt).Enabled() || attempt >= s.cfg.MaxJobRetries {
 			break
@@ -133,17 +133,15 @@ func (s *Server) runJob(tk *task) *outcome {
 		case <-tk.ctx.Done():
 		}
 	}
-	s.setTerminal(tk.id, StatusFailed, err)
-	oc := s.snapshot(tk.id)
-	oc.err = err
-	return oc
+	return &outcome{job: s.setTerminal(tk.id, StatusFailed, err), err: err}
 }
 
 // setTerminal is the one exit gate of every job: it publishes the final
 // status, appends the journal completion record (making the terminal
 // state durable — replay will not resurrect this job), bumps the global
-// and per-tenant counters, and feeds the latency summary.
-func (s *Server) setTerminal(id string, st JobStatus, jobErr error) {
+// and per-tenant counters, and feeds the latency summary. It returns a
+// copy of the terminal record.
+func (s *Server) setTerminal(id string, st JobStatus, jobErr error) Job {
 	errStr := ""
 	if jobErr != nil {
 		errStr = jobErr.Error()
@@ -162,6 +160,8 @@ func (s *Server) setTerminal(id string, st JobStatus, jobErr error) {
 		}
 	}
 	submittedAt := j.submittedAt
+	rec := *j
+	s.retireLocked(j)
 	s.mu.Unlock()
 
 	if st == StatusDone {
@@ -179,13 +179,42 @@ func (s *Server) setTerminal(id string, st JobStatus, jobErr error) {
 		s.latency.Observe(time.Since(submittedAt).Microseconds())
 	}
 	s.journalAppend(journal.Record{Op: journal.OpComplete, ID: id, Status: string(st), Error: errStr})
+	return rec
 }
 
-// snapshot copies the job record under the lock.
-func (s *Server) snapshot(id string) *outcome {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return &outcome{job: *s.jobs[id]}
+// maxFinishedJobs bounds the terminal job records the daemon keeps for
+// GET /v1/jobs and /v1/jobs/{id}. Past it, the finished job with the
+// lowest Seq is forgotten (404 from then on); pending, queued and running
+// jobs are never evicted. At a few thousand jobs/s a finished record stays
+// readable for tens of seconds, long enough for a client that polls.
+const maxFinishedJobs = 1 << 16
+
+// retireLocked records j as finished. It first evicts the oldest finished
+// records until fewer than finishedCap remain, so j itself is never
+// evicted by its own transition and the waiters it is about to wake still
+// find it.
+func (s *Server) retireLocked(j *Job) {
+	for s.finished.Len() >= s.finishedCap {
+		old := heap.Pop(&s.finished).(*Job)
+		delete(s.jobs, old.ID)
+		delete(s.done, old.ID)
+	}
+	heap.Push(&s.finished, j)
+}
+
+// seqHeap is a container/heap min-heap of job records by Seq.
+type seqHeap []*Job
+
+func (h seqHeap) Len() int           { return len(h) }
+func (h seqHeap) Less(i, k int) bool { return h[i].Seq < h[k].Seq }
+func (h seqHeap) Swap(i, k int)      { h[i], h[k] = h[k], h[i] }
+func (h *seqHeap) Push(x any)        { *h = append(*h, x.(*Job)) }
+func (h *seqHeap) Pop() any {
+	old := *h
+	j := old[len(old)-1]
+	old[len(old)-1] = nil
+	*h = old[:len(old)-1]
+	return j
 }
 
 // adoptOutcome copies a leader's terminal result into a follower's

@@ -10,7 +10,9 @@
 //	                    the job is terminal and returns the full job; the
 //	                    X-Tenant header names the tenant when the spec
 //	                    does not
-//	GET  /v1/jobs/{id}  job status and result
+//	GET  /v1/jobs/{id}  job status and result; 404 once a finished job's
+//	                    record is evicted (the newest 65536 finished
+//	                    records are kept, unfinished jobs always)
 //	GET  /v1/jobs       jobs in submission order; ?limit=N keeps the
 //	                    newest N
 //	GET  /v1/stats      cache counters, pool and admission state
@@ -328,6 +330,11 @@ type Server struct {
 	seq      uint64
 	draining bool
 
+	// finished holds the terminal records of jobs, oldest Seq first out;
+	// beyond finishedCap of them the oldest is dropped from jobs and done.
+	finished    seqHeap // guarded-by: mu
+	finishedCap int     // at least 1; guarded-by: mu
+
 	// verified memoizes static-verifier verdicts by plan fingerprint, so
 	// only the first serve of a plan pays for verification; repeat hits of
 	// a cached plan (the steady-state serve path) pay a map lookup. Only
@@ -426,6 +433,7 @@ func Open(cfg Config) (*Server, error) {
 		tenants:   make(map[string]*tenantStats),
 		verified:  make(map[string]bool),
 	}
+	s.finishedCap = maxFinishedJobs
 	s.health.stop = make(chan struct{})
 	s.health.since = time.Now()
 	s.metrics.Set("rapidd.health.state", int64(HealthDurable))
@@ -630,16 +638,13 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
 	s.mu.Lock()
-	_, ok := s.jobs[id]
+	ch, ok := s.done[id]
 	s.mu.Unlock()
 	if !ok {
 		http.Error(w, "no such job", http.StatusNotFound)
 		return
 	}
 	if r.URL.Query().Get("wait") != "" {
-		s.mu.Lock()
-		ch := s.done[id]
-		s.mu.Unlock()
 		select {
 		case <-ch:
 		case <-r.Context().Done():
@@ -780,7 +785,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"queue_len":      depth,
 		"queue_cap":      capacity,
 		"draining":       draining,
-		"cache_entries":  s.cacheLen(),
+		"cache_entries":  s.cache.Len(),
 		"plancache_line": rapid.CacheStats(s.metrics),
 		"tenant_mem":     tenantMem,
 		"tenant_queued":  tenantAdmQueue,
@@ -857,17 +862,21 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	pw.WriteTo(w)
 }
 
-func (s *Server) cacheLen() int {
-	// The cache does not expose Len publicly through rapid; report via
-	// counters instead (misses == entries ever compiled here).
-	return int(s.metrics.Get("plancache.miss"))
-}
-
+// writeJob writes the job's record, or 404 when the record is unknown or
+// has been evicted from the finished-job table.
 func (s *Server) writeJob(w http.ResponseWriter, id string) {
 	s.mu.Lock()
-	j := *s.jobs[id]
+	j, ok := s.jobs[id]
+	var rec Job
+	if ok {
+		rec = *j
+	}
 	s.mu.Unlock()
-	writeJSON(w, j)
+	if !ok {
+		http.Error(w, "no such job", http.StatusNotFound)
+		return
+	}
+	writeJSON(w, rec)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

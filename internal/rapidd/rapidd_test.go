@@ -374,6 +374,151 @@ func TestServerStatsAndJobList(t *testing.T) {
 	}
 }
 
+// cacheEntries reads cache_entries from /v1/stats.
+func cacheEntries(t *testing.T, ts *httptest.Server) int {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var stats struct {
+		CacheEntries int `json:"cache_entries"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	return stats.CacheEntries
+}
+
+// TestStatsCacheEntriesCountsResidentPlans checks that cache_entries is
+// the number of plans the memory tier holds: a one-byte budget keeps only
+// the newest plan, so three compiles leave one entry after two evictions,
+// and a restarted daemon's disk hit brings a plan back into memory.
+func TestStatsCacheEntriesCountsResidentPlans(t *testing.T) {
+	dir := t.TempDir()
+	metrics := trace.NewMetrics()
+	srv := New(Config{CacheDir: dir, CacheMemBudget: 1, Metrics: metrics})
+	ts := httptest.NewServer(srv)
+	if got := cacheEntries(t, ts); got != 0 {
+		t.Fatalf("fresh daemon: cache_entries=%d, want 0", got)
+	}
+	for _, n := range []int{60, 80, 100} {
+		if j := solveSync(t, ts, JobSpec{Kind: "chol", N: n, Seed: 1, Procs: 2}); j.PlanSource != "compiled" {
+			t.Fatalf("n=%d: plan source %q, want compiled", n, j.PlanSource)
+		}
+	}
+	if got := cacheEntries(t, ts); got != 1 || metrics.Get("plancache.evict") != 2 {
+		t.Fatalf("cache_entries=%d evictions=%d, want 1 and 2", got, metrics.Get("plancache.evict"))
+	}
+	ts.Close()
+
+	ts = httptest.NewServer(New(Config{CacheDir: dir}))
+	defer ts.Close()
+	if j := solveSync(t, ts, JobSpec{Kind: "chol", N: 60, Seed: 1, Procs: 2}); j.PlanSource != "disk" {
+		t.Fatalf("restart: plan source %q, want disk", j.PlanSource)
+	}
+	if got := cacheEntries(t, ts); got != 1 {
+		t.Fatalf("after a disk hit: cache_entries=%d, want 1", got)
+	}
+}
+
+// jobCode returns the HTTP status of GET /v1/jobs/{id}.
+func jobCode(t *testing.T, ts *httptest.Server, id string, wait bool) int {
+	t.Helper()
+	url := ts.URL + "/v1/jobs/" + id
+	if wait {
+		url += "?wait=1"
+	}
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestFinishedJobTableBounded submits more jobs than the finished-record
+// cap. The oldest finished records are evicted (404, also with ?wait=1),
+// a running job is never evicted however old, a job that finishes while
+// it is the oldest record is not evicted by its own completion, and
+// concurrent completions keep the table at the cap.
+func TestFinishedJobTableBounded(t *testing.T) {
+	const limit = 3
+	srv := New(Config{Workers: 2})
+	srv.mu.Lock()
+	srv.finishedCap = limit
+	srv.mu.Unlock()
+	arrived, release := make(chan struct{}), make(chan struct{})
+	srv.execHook = func(spec JobSpec) {
+		if spec.Seed == 99 {
+			close(arrived)
+			<-release
+		}
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	held := solveAsync(t, ts, JobSpec{Kind: "chol", N: 60, Seed: 99, Procs: 2})
+	select {
+	case <-arrived:
+	case <-time.After(10 * time.Second):
+		t.Fatal("held job never started")
+	}
+	var quick []string
+	for seed := uint64(1); seed <= limit+2; seed++ {
+		j := solveSync(t, ts, JobSpec{Kind: "chol", N: 60, Seed: seed, Procs: 2})
+		if j.Status != StatusDone {
+			t.Fatalf("job %s: %s (%s)", j.ID, j.Status, j.Error)
+		}
+		quick = append(quick, j.ID)
+	}
+	for i, id := range quick {
+		want := http.StatusOK
+		if i < 2 {
+			want = http.StatusNotFound
+		}
+		if got := jobCode(t, ts, id, false); got != want {
+			t.Errorf("GET job %s: HTTP %d, want %d", id, got, want)
+		}
+		if got := jobCode(t, ts, id, true); got != want {
+			t.Errorf("GET job %s?wait=1: HTTP %d, want %d", id, got, want)
+		}
+	}
+	if j := getJob(t, ts, held.ID, false); j.Status != StatusRunning {
+		t.Fatalf("held job %s: status %s, want running (never evicted)", held.ID, j.Status)
+	}
+	if n := len(listJobs(t, ts)); n != limit+1 {
+		t.Fatalf("/v1/jobs lists %d jobs, want %d finished + 1 running", n, limit)
+	}
+
+	close(release)
+	if j := getJob(t, ts, held.ID, true); j.Status != StatusDone {
+		t.Fatalf("held job %s: %s (%s)", held.ID, j.Status, j.Error)
+	}
+	var ids []string
+	for _, j := range listJobs(t, ts) {
+		ids = append(ids, j.ID)
+	}
+	if want := []string{held.ID, quick[3], quick[4]}; fmt.Sprint(ids) != fmt.Sprint(want) {
+		t.Fatalf("/v1/jobs after the held job finished: %v, want %v", ids, want)
+	}
+
+	// Both workers retiring jobs at once still leave exactly the cap.
+	var burst []string
+	for n := 60; n < 60+4*limit; n++ {
+		burst = append(burst, solveAsync(t, ts, JobSpec{Kind: "chol", N: n, Seed: 1, Procs: 2}).ID)
+	}
+	for _, id := range burst {
+		if code := jobCode(t, ts, id, true); code != http.StatusOK && code != http.StatusNotFound {
+			t.Fatalf("GET job %s?wait=1: HTTP %d", id, code)
+		}
+	}
+	if n := len(listJobs(t, ts)); n != limit {
+		t.Fatalf("/v1/jobs lists %d jobs after a burst, want %d", n, limit)
+	}
+}
+
 // TestServerStateOccupancyMetrics checks that a completed job carries the
 // executor's per-state occupancy and that the machine-wide counters appear
 // in the /v1/stats metrics snapshot, one per protocol state.

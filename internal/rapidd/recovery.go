@@ -112,11 +112,13 @@ func (s *Server) recoverFailed(rj *replayedJob, msg string) {
 	done := make(chan struct{})
 	close(done)
 	s.mu.Lock()
-	s.jobs[rj.id] = &Job{
+	j := &Job{
 		ID: rj.id, Seq: rj.seq, Spec: spec, Status: StatusFailed,
 		Error: msg, Recovered: true, Durable: true,
 	}
+	s.jobs[rj.id] = j
 	s.done[rj.id] = done
+	s.retireLocked(j)
 	s.tenantStatLocked(rj.tenant).recovered++
 	s.tenantStatLocked(rj.tenant).failed++
 	s.mu.Unlock()

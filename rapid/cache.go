@@ -59,6 +59,9 @@ func NewPlanCache(cfg PlanCacheConfig) *PlanCache {
 	})}
 }
 
+// Len returns the number of plans held in the in-memory tier.
+func (c *PlanCache) Len() int { return c.c.Len() }
+
 // Fingerprint returns the content address (a SHA-256 hex string) of the
 // compilation input: the program's full task-graph structure plus the
 // compile options. Equal fingerprints guarantee byte-identical compiled
