@@ -5,13 +5,23 @@
 // flat float64 slices with an explicit leading dimension, so sub-blocks of
 // larger panels can be addressed without copying.
 //
-// The kernels are pure Go (the evaluation machine's vendor BLAS is replaced
-// by the cost model in internal/machine). The two that dominate Cholesky's
-// run time, Gemm's A·Bᵀ case and Syrk, share a 2×4 register-tiled
-// micro-kernel; the others are plain loops, each a few percent of kernel
-// time. Tiling never reorders arithmetic: every element of C is one
-// ascending-order sum scaled by alpha once, so factors are bit-identical to
-// an untiled dot product per element.
+// The two kernels that dominate Cholesky's run time, Gemm's A·Bᵀ case and
+// Syrk, run on amd64 CPUs with AVX2 through a 4-row × 8-column assembly
+// tile (ntkern_amd64.s): ntTiles packs eight rows of B into an l-major
+// panel, and the tile keeps eight YMM accumulators, one VMULPD and one
+// VADDPD per product and no FMA. The kernel is chosen once from CPUID (AVX2,
+// with the OS saving YMM state per XGETBV). Leftover rows and columns,
+// Syrk's diagonal band, other GOARCHes and CPUs without AVX2 use the
+// pure-Go 2×4 register tile ntPair and dot, which is also the reference the
+// tests hold the assembly to. The other kernels are plain Go loops, each a
+// few percent of kernel time; the evaluation machine's vendor BLAS is
+// replaced by the cost model in internal/machine.
+//
+// Both paths keep one per-element order contract: every C(i,j) of an A·Bᵀ
+// product is a single accumulator that starts at zero, adds its k rounded
+// products in ascending order and is scaled by alpha once, C += alpha·s. So
+// factors are bit-identical across paths and to an untiled dot product per
+// element.
 package blas
 
 import (
@@ -24,6 +34,10 @@ var ErrNotPD = errors.New("blas: matrix not positive definite")
 
 // ErrSingular is returned by Getrf when no usable pivot exists.
 var ErrSingular = errors.New("blas: matrix is singular to working precision")
+
+// ErrPivotLen is returned by Getrf when the pivot slice holds fewer entries
+// than the panel has columns.
+var ErrPivotLen = errors.New("blas: pivot slice shorter than the panel width")
 
 // Gemm computes C = C + alpha * op(A) * op(B) where op is identity or
 // transpose, for row-major matrices: A is m×k (k×m if transA), B is k×n
@@ -48,15 +62,29 @@ func Gemm(transA, transB bool, m, n, k int, alpha float64, a []float64, lda int,
 			}
 		}
 	case !transA && transB:
-		i := 0
-		for ; i+2 <= m; i += 2 {
-			ntPair(n, k, alpha, a[i*lda:], a[(i+1)*lda:], b, ldb, c[i*ldc:], c[(i+1)*ldc:])
+		m4, n8 := 0, 0
+		if useAVX2 && m >= 4 && n >= 8 {
+			m4, n8 = m&^3, n&^7
+			ntTiles(m4, n8, k, alpha, a, lda, b, ldb, c, ldc, false)
 		}
-		if i < m {
+		// The tiled rows still need their columns from n8 on; the rows
+		// below them need every column.
+		for i := 0; i < m; i += 2 {
+			j := 0
+			if i < m4 {
+				j = n8
+			}
+			if j == n {
+				continue
+			}
+			bj, ci := b[j*ldb:], c[i*ldc+j:i*ldc+n]
+			if i+1 < m {
+				ntPair(n-j, k, alpha, a[i*lda:], a[(i+1)*lda:], bj, ldb, ci, c[(i+1)*ldc+j:])
+				continue
+			}
 			ai := a[i*lda : i*lda+k]
-			ci := c[i*ldc : i*ldc+n]
-			for j := range ci {
-				ci[j] += alpha * dot(ai, b[j*ldb:])
+			for q := range ci {
+				ci[q] += alpha * dot(ai, bj[q*ldb:])
 			}
 		}
 	case transA && !transB:
@@ -92,13 +120,22 @@ func Gemm(transA, transB bool, m, n, k int, alpha float64, a []float64, lda int,
 // row-major with leading dimension lda and C is n×n with leading dimension
 // ldc. Only the lower triangle of C is referenced and updated.
 func Syrk(n, k int, alpha float64, a []float64, lda int, c []float64, ldc int) {
+	m4 := 0 // rows [0, m4) have columns [0, i&^7) done by the AVX2 tiles
+	if useAVX2 && n >= 12 && k > 0 {
+		m4 = n &^ 3
+		ntTiles(m4, n&^7, k, alpha, a, lda, a, lda, c, ldc, true)
+	}
 	i := 0
 	for ; i+2 <= n; i += 2 {
+		j := 0
+		if i < m4 {
+			j = i &^ 7
+		}
 		a0, a1 := a[i*lda:i*lda+k], a[(i+1)*lda:(i+1)*lda+k]
 		c0, c1 := c[i*ldc:i*ldc+i+1], c[(i+1)*ldc:(i+1)*ldc+i+2]
 		// Columns left of the diagonal are full for both rows; the three
 		// elements on or next to the diagonal are scalar dots.
-		ntPair(i, k, alpha, a0, a1, a, lda, c0, c1)
+		ntPair(i-j, k, alpha, a0, a1, a[j*lda:], lda, c0[j:], c1[j:])
 		c0[i] += alpha * dot(a0, a0)
 		c1[i] += alpha * dot(a1, a0)
 		c1[i+1] += alpha * dot(a1, a1)
@@ -114,11 +151,12 @@ func Syrk(n, k int, alpha float64, a []float64, lda int, c []float64, ldc int) {
 
 // ntPair adds alpha·a0·bⱼᵀ to c0[j] and alpha·a1·bⱼᵀ to c1[j] for every j
 // in [0, n), where a0 and a1 hold at least k elements, c0 and c1 at least
-// n, and bⱼ is the k-prefix of row j of the row-major b. Full groups of four columns go through a 2×4
-// register tile of eight independent accumulators; leftover columns through
-// dot. Each element still sums its k products in ascending order into one
-// accumulator and adds alpha times the sum once, so the result is
-// bit-identical to an untiled dot product per element.
+// n, and bⱼ is the k-prefix of row j of the row-major b. Full groups of
+// four columns go through a 2×4 register tile of eight independent
+// accumulators; leftover columns through dot. Each element still sums its
+// k products in ascending order into one accumulator and adds alpha times
+// the sum once, so the result is bit-identical to an untiled dot product
+// per element.
 func ntPair(n, k int, alpha float64, a0, a1, b []float64, ldb int, c0, c1 []float64) {
 	a0, a1 = a0[:k], a1[:k]
 	c0, c1 = c0[:n], c1[:n]
@@ -245,10 +283,10 @@ func Potrf(n int, a []float64, lda int) error {
 // (m >= n) in place: P·A = L·U with unit lower-triangular L stored below the
 // diagonal and U on and above it. piv[j] records the row swapped into
 // position j at step j (LAPACK-style ipiv, 0-based). Rows are swapped across
-// the full panel width n.
+// the full panel width n. piv must hold at least n entries.
 func Getrf(m, n int, a []float64, lda int, piv []int) error {
 	if len(piv) < n {
-		panic("blas: pivot slice too short")
+		return ErrPivotLen
 	}
 	for j := 0; j < n; j++ {
 		// Find pivot.

@@ -1,6 +1,8 @@
 package blas
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -40,9 +42,41 @@ func naiveGemm(transA, transB bool, m, n, k int, alpha float64, a []float64, lda
 	}
 }
 
-// kernelSizes covers the scalar edges (0–9) and one full w=32 block with its
-// neighbours, so every tile/leftover split of the 2×4 micro-kernel occurs.
-var kernelSizes = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33}
+// kernelSizes covers the scalar edges (0–9) and 16, 32 and 64 (two, four
+// and eight 8-wide strips) with their neighbours, so every tile/leftover
+// split of the 4×8 AVX2 tile and the 2×4 Go tile occurs, and Syrk's
+// diagonal band falls on both alignments of a 4-row tile against an
+// 8-column strip.
+var kernelSizes = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65}
+
+// forEachPath runs f once per kernel path: path=simd with the AVX2 tile
+// (skipped on CPUs without AVX2) and path=go with the pure-Go reference.
+func forEachPath(t *testing.T, f func(t *testing.T)) {
+	for _, simd := range []bool{true, false} {
+		t.Run(pathName(simd), func(t *testing.T) {
+			usePath(t, simd)
+			f(t)
+		})
+	}
+}
+
+// usePath selects the kernel path until tb ends, skipping the AVX2 path on
+// CPUs without it.
+func usePath(tb testing.TB, simd bool) {
+	if simd && !hasAVX2() {
+		tb.Skip("CPU has no AVX2")
+	}
+	saved := useAVX2
+	useAVX2 = simd
+	tb.Cleanup(func() { useAVX2 = saved })
+}
+
+func pathName(simd bool) string {
+	if simd {
+		return "path=simd"
+	}
+	return "path=go"
+}
 
 // paddedMat returns a rows×cols matrix stored with leading dimension
 // cols+pad, whose padding holds NaN so that any read outside the sub-block
@@ -81,30 +115,34 @@ func sameBits(rows, cols int, got, want []float64, ld int, lower bool) (int, int
 
 // TestGemmAllVariants checks every transpose case against naiveGemm over
 // edge and block sizes, on sub-blocks whose leading dimensions exceed their
-// widths. The NT case, which the Cholesky update kernel uses, must match
-// naiveGemm's per-element ascending-order sum bit for bit; the others, which
-// fold alpha into the products, to a rounding tolerance.
-func TestGemmAllVariants(t *testing.T) {
+// widths, on both kernel paths. The NT case, which the Cholesky update
+// kernel uses, must match naiveGemm's per-element ascending-order sum bit
+// for bit; the others, which fold alpha into the products, to a rounding
+// tolerance.
+func TestGemmAllVariants(t *testing.T) { forEachPath(t, testGemmAllVariants) }
+
+func testGemmAllVariants(t *testing.T) {
 	rng := util.NewRNG(1)
 	for _, tA := range []bool{false, true} {
 		for _, tB := range []bool{false, true} {
 			for _, m := range kernelSizes {
 				for _, n := range kernelSizes {
 					for _, k := range kernelSizes {
+						pad := (m + n + k) % 3
+						ar, ac := m, k
+						if tA {
+							ar, ac = k, m
+						}
+						br, bc := k, n
+						if tB {
+							br, bc = n, k
+						}
+						a, lda := paddedMat(rng, ar, ac, pad)
+						b, ldb := paddedMat(rng, br, bc, pad+1)
+						c0, ldc := paddedMat(rng, m, n, 2-pad)
 						for _, alpha := range []float64{-1, 0.5} {
-							pad := (m + n + k) % 3
-							ar, ac := m, k
-							if tA {
-								ar, ac = k, m
-							}
-							br, bc := k, n
-							if tB {
-								br, bc = n, k
-							}
-							a, lda := paddedMat(rng, ar, ac, pad)
-							b, ldb := paddedMat(rng, br, bc, pad+1)
-							c1, ldc := paddedMat(rng, m, n, 2-pad)
-							c2 := append([]float64(nil), c1...)
+							c1 := append([]float64(nil), c0...)
+							c2 := append([]float64(nil), c0...)
 							Gemm(tA, tB, m, n, k, alpha, a, lda, b, ldb, c1, ldc)
 							naiveGemm(tA, tB, m, n, k, alpha, a, lda, b, ldb, c2, ldc)
 							if !tA && tB {
@@ -151,8 +189,10 @@ func TestGemmSubBlockLeadingDim(t *testing.T) {
 
 // TestSyrkMatchesGemm checks that Syrk's lower triangle equals naiveGemm's
 // A·Aᵀ bit for bit and that it leaves the strict upper triangle and the
-// padding of C alone.
-func TestSyrkMatchesGemm(t *testing.T) {
+// padding of C alone, on both kernel paths.
+func TestSyrkMatchesGemm(t *testing.T) { forEachPath(t, testSyrkMatchesGemm) }
+
+func testSyrkMatchesGemm(t *testing.T) {
 	rng := util.NewRNG(3)
 	for _, n := range kernelSizes {
 		for _, k := range kernelSizes {
@@ -278,6 +318,16 @@ func TestGetrfSingular(t *testing.T) {
 	}
 }
 
+func TestGetrfPivotLen(t *testing.T) {
+	a := []float64{2, 1, 1, 3}
+	if err := Getrf(2, 2, a, 2, make([]int, 1)); !errors.Is(err, ErrPivotLen) {
+		t.Fatalf("want ErrPivotLen, got %v", err)
+	}
+	if a[0] != 2 || a[1] != 1 || a[2] != 1 || a[3] != 3 {
+		t.Fatalf("Getrf modified the panel before rejecting the pivot slice: %v", a)
+	}
+}
+
 func TestTrsmRightLowerT(t *testing.T) {
 	rng := util.NewRNG(6)
 	m, n := 5, 4
@@ -341,10 +391,11 @@ func benchKernel(b *testing.B, flops float64, f func()) {
 }
 
 // BenchmarkGemmNT times the update kernel of Cholesky (C -= A·Bᵀ) on the
-// block sizes the paper tables (w=8) and the factor benchmark (w=32) use.
+// block sizes the paper tables (w=8) and the factor benchmark (w=32) use,
+// once per kernel path.
 func BenchmarkGemmNT(b *testing.B) {
 	for _, w := range []int{8, 32} {
-		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
+		benchPaths(b, w, func(b *testing.B) {
 			rng := util.NewRNG(11)
 			x, y, c := randMat(rng, w, w), randMat(rng, w, w), randMat(rng, w, w)
 			sinkC = c
@@ -353,14 +404,103 @@ func BenchmarkGemmNT(b *testing.B) {
 	}
 }
 
-// BenchmarkSyrk times the lower-triangle Cholesky syrk kernel (C -= A·Aᵀ).
+// BenchmarkSyrk times the lower-triangle Cholesky syrk kernel (C -= A·Aᵀ),
+// once per kernel path.
 func BenchmarkSyrk(b *testing.B) {
 	for _, w := range []int{8, 32} {
-		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
+		benchPaths(b, w, func(b *testing.B) {
 			rng := util.NewRNG(12)
 			x, c := randMat(rng, w, w), randMat(rng, w, w)
 			sinkC = c
 			benchKernel(b, float64(w*(w+1)*w), func() { Syrk(w, w, -1, x, w, c, w) })
 		})
 	}
+}
+
+// benchPaths runs f as the sub-benchmarks w=<w>/path=simd (skipped without
+// AVX2) and w=<w>/path=go.
+func benchPaths(b *testing.B, w int, f func(b *testing.B)) {
+	for _, simd := range []bool{true, false} {
+		b.Run(fmt.Sprintf("w=%d/%s", w, pathName(simd)), func(b *testing.B) {
+			usePath(b, simd)
+			f(b)
+		})
+	}
+}
+
+// FuzzNTKernel checks that the AVX2 path of Gemm NT and Syrk writes the
+// same bits as the pure-Go path on fuzzer-chosen shapes (m, n, k < 40),
+// leading-dimension padding, alpha and element values, which the fuzzer
+// supplies as raw float64 bit patterns so ±0, ±Inf, NaN and subnormals
+// occur. NaN payloads are exempt, not NaN-ness: when two NaNs meet, x86
+// propagates the one in the first operand, and for a commutative scalar
+// add or multiply the Go compiler picks that order freely.
+func FuzzNTKernel(f *testing.F) {
+	var specials []byte
+	for _, v := range []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		math.SmallestNonzeroFloat64, -0x1p-1022, 1e308, -3.5, 0.1} {
+		specials = binary.LittleEndian.AppendUint64(specials, math.Float64bits(v))
+	}
+	f.Add(uint8(9), uint8(17), uint8(5), uint8(1), -1.0, specials)
+	f.Add(uint8(33), uint8(16), uint8(32), uint8(0), 0.5, specials[8:40])
+	f.Add(uint8(4), uint8(8), uint8(1), uint8(3), math.Inf(-1), specials[16:])
+	f.Add(uint8(20), uint8(24), uint8(7), uint8(2), -1.0, []byte{})
+	f.Fuzz(func(t *testing.T, m, n, k, pad uint8, alpha float64, vals []byte) {
+		if !hasAVX2() {
+			t.Skip("CPU has no AVX2")
+		}
+		mm, nn, kk, pd := int(m%40), int(n%40), int(k%40), int(pad%4)
+		e := 0
+		// mat returns a rows×cols matrix with leading dimension cols+pd
+		// filled, padding included, from vals.
+		mat := func(rows, cols int) ([]float64, int) {
+			ld := cols + pd
+			x := make([]float64, rows*ld)
+			for i := range x {
+				if len(vals) < 8 {
+					x[i] = float64(e%7)/3 - 1
+				} else {
+					o := 8 * (e % (len(vals) / 8))
+					x[i] = math.Float64frombits(binary.LittleEndian.Uint64(vals[o:]))
+				}
+				e++
+			}
+			return x, ld
+		}
+		// both runs call on a fresh copy of c per path.
+		both := func(c []float64, call func(c []float64)) (simd, gop []float64) {
+			defer func(v bool) { useAVX2 = v }(useAVX2)
+			simd, gop = append([]float64(nil), c...), append([]float64(nil), c...)
+			useAVX2 = true
+			call(simd)
+			useAVX2 = false
+			call(gop)
+			return simd, gop
+		}
+		a, lda := mat(mm, kk)
+		b, ldb := mat(nn, kk)
+		c, ldc := mat(mm, nn)
+		simd, gop := both(c, func(c []float64) { Gemm(false, true, mm, nn, kk, alpha, a, lda, b, ldb, c, ldc) })
+		if i, ok := sameBitsOrNaN(simd, gop); !ok {
+			t.Fatalf("Gemm NT m=%d n=%d k=%d ld=%d,%d,%d alpha=%v: C[%d] simd %v (%#x), go %v (%#x)",
+				mm, nn, kk, lda, ldb, ldc, alpha, i, simd[i], math.Float64bits(simd[i]), gop[i], math.Float64bits(gop[i]))
+		}
+		s, lds := mat(nn, nn)
+		simd, gop = both(s, func(c []float64) { Syrk(nn, kk, alpha, b, ldb, c, lds) })
+		if i, ok := sameBitsOrNaN(simd, gop); !ok {
+			t.Fatalf("Syrk n=%d k=%d ld=%d,%d alpha=%v: C[%d] simd %v (%#x), go %v (%#x)",
+				nn, kk, ldb, lds, alpha, i, simd[i], math.Float64bits(simd[i]), gop[i], math.Float64bits(gop[i]))
+		}
+	})
+}
+
+// sameBitsOrNaN reports the first index where x and y differ in their bits,
+// treating any two NaNs as equal.
+func sameBitsOrNaN(x, y []float64) (int, bool) {
+	for i := range x {
+		if math.Float64bits(x[i]) != math.Float64bits(y[i]) && !(math.IsNaN(x[i]) && math.IsNaN(y[i])) {
+			return i, false
+		}
+	}
+	return 0, true
 }
